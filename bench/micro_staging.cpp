@@ -3,7 +3,9 @@
 // replica→EC transition in token-serial, batched-pipelined, and
 // ring-pipelined form at RS(8,2). Counters expose the payload-traffic
 // invariants the buffers are meant to deliver — allocations and bytes
-// copied per object, CRC recomputes vs cache hits, max per-node bytes
+// copied per object, CRC recomputes vs cache hits, CRC bytes read per
+// transitioned object (put_crc_pieces = 1: the data shards are re-read;
+// = k: they inherit the put's piece tags), max per-node bytes
 // on the wire and per-node encode CPU — so BENCH_staging.json tracks
 // copy-count and traffic-placement regressions PR over PR, not just
 // wall time.
@@ -144,17 +146,29 @@ void BM_GetReplicated(benchmark::State& state) {
 }
 BENCHMARK(BM_GetReplicated);
 
+/// The cold set as puts leave it: each object's CRC computed in
+/// `crc_pieces` stripe-aligned pieces (kK under a striping scheme, 1
+/// for the whole-object tag alone, which makes the transition re-read
+/// every data byte).
 std::vector<DataObject> transition_set(std::size_t objects,
-                                       std::size_t size) {
+                                       std::size_t size,
+                                       std::size_t crc_pieces) {
   std::vector<DataObject> set;
   set.reserve(objects);
   for (std::size_t i = 0; i < objects; ++i) {
     set.push_back(DataObject::real(
         make_desc(100 + i),
         PayloadBuffer::wrap(
-            make_payload(size, static_cast<std::uint8_t>(i)))));
+            make_payload(size, static_cast<std::uint8_t>(i))),
+        crc_pieces));
   }
   return set;
+}
+
+/// CRC32C bytes read so far (the transition benches subtract the
+/// put-time passes of their cold set).
+std::uint64_t crc_bytes() {
+  return corec::payload_metrics().crc_bytes.load();
 }
 
 std::vector<ServerId> holders_of(const StagingService& service,
@@ -174,12 +188,15 @@ void BM_TransitionPerObject(benchmark::State& state) {
   const std::size_t size = 1u << 20;  // 64 MiB of cold data per drain
   std::uint64_t moved = 0;
   SimTime sim_ns = 0;
+  const auto crc_pieces = static_cast<std::size_t>(state.range(0));
+  std::uint64_t transition_crc_bytes = 0;
   corec::payload_metrics().reset();
   for (auto _ : state) {
     state.PauseTiming();
     Harness h;
     EncodingWorkflow workflow(&h.service, kReplicas + 1, {});
-    auto set = transition_set(objects, size);
+    auto set = transition_set(objects, size, crc_pieces);
+    const std::uint64_t crc_before = crc_bytes();
     corec::staging::Breakdown bd;
     state.ResumeTiming();
     SimTime last = 0;
@@ -197,9 +214,12 @@ void BM_TransitionPerObject(benchmark::State& state) {
       last = std::max(last, durable);
     }
     benchmark::DoNotOptimize(last);
+    transition_crc_bytes += crc_bytes() - crc_before;
     moved += objects;
     sim_ns = last;
   }
+  state.counters["crc_bytes_per_object"] =
+      static_cast<double>(transition_crc_bytes) / static_cast<double>(moved);
   state.counters["copied_bytes_per_obj"] =
       static_cast<double>(
           corec::payload_metrics().bytes_copied.load()) /
@@ -223,7 +243,11 @@ void BM_TransitionPerObject(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(moved * size));
 }
-BENCHMARK(BM_TransitionPerObject)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TransitionPerObject)
+    ->ArgName("put_crc_pieces")
+    ->Arg(1)
+    ->Arg(kK)
+    ->Unit(benchmark::kMillisecond);
 
 /// Batched pipelined transition of the same 64 MiB cold set: stripe
 /// prep fans out over the thread pool, verify of batch i+1 overlaps
@@ -236,13 +260,16 @@ void BM_TransitionBatched(benchmark::State& state) {
   std::uint64_t moved = 0;
   std::uint64_t tokens = 0;
   SimTime sim_ns = 0;
+  const auto crc_pieces = static_cast<std::size_t>(state.range(0));
+  std::uint64_t transition_crc_bytes = 0;
   corec::payload_metrics().reset();
   for (auto _ : state) {
     state.PauseTiming();
     Harness h;
     EncodingWorkflow workflow(&h.service, kReplicas + 1, {});
     BatchedEncoder encoder(&h.service, &workflow, kK, kM, opts);
-    auto set = transition_set(objects, size);
+    auto set = transition_set(objects, size, crc_pieces);
+    const std::uint64_t crc_before = crc_bytes();
     corec::staging::Breakdown bd;
     state.ResumeTiming();
     for (std::size_t i = 0; i < objects; ++i) {
@@ -252,10 +279,13 @@ void BM_TransitionBatched(benchmark::State& state) {
     }
     SimTime last = encoder.drain(0, &bd);
     benchmark::DoNotOptimize(last);
+    transition_crc_bytes += crc_bytes() - crc_before;
     moved += encoder.stats().objects;
     tokens = encoder.stats().token_acquires;
     sim_ns = last;
   }
+  state.counters["crc_bytes_per_object"] =
+      static_cast<double>(transition_crc_bytes) / static_cast<double>(moved);
   state.counters["copied_bytes_per_obj"] =
       static_cast<double>(
           corec::payload_metrics().bytes_copied.load()) /
@@ -279,7 +309,11 @@ void BM_TransitionBatched(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(moved * size));
 }
-BENCHMARK(BM_TransitionBatched)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TransitionBatched)
+    ->ArgName("put_crc_pieces")
+    ->Arg(1)
+    ->Arg(kK)
+    ->Unit(benchmark::kMillisecond);
 
 /// Ring-pipelined transition of the same 64 MiB cold set: each stripe's
 /// parity accumulates hop by hop along its replica holders, so compute
@@ -297,13 +331,16 @@ void BM_TransitionPipelined(benchmark::State& state) {
   std::uint64_t max_node_bytes = 0;
   SimTime max_node_cpu = 0;
   SimTime sim_ns = 0;
+  const auto crc_pieces = static_cast<std::size_t>(state.range(0));
+  std::uint64_t transition_crc_bytes = 0;
   corec::payload_metrics().reset();
   for (auto _ : state) {
     state.PauseTiming();
     Harness h;
     EncodingWorkflow workflow(&h.service, kReplicas + 1, {});
     PipelinedEncoder encoder(&h.service, &workflow, kK, kM, {});
-    auto set = transition_set(objects, size);
+    auto set = transition_set(objects, size, crc_pieces);
+    const std::uint64_t crc_before = crc_bytes();
     corec::staging::Breakdown bd;
     state.ResumeTiming();
     for (std::size_t i = 0; i < objects; ++i) {
@@ -313,6 +350,7 @@ void BM_TransitionPipelined(benchmark::State& state) {
     }
     SimTime last = encoder.drain(0, &bd);
     benchmark::DoNotOptimize(last);
+    transition_crc_bytes += crc_bytes() - crc_before;
     moved += encoder.stats().objects;
     tokens = encoder.stats().token_acquires;
     rings = encoder.stats().ring_encodes;
@@ -320,6 +358,8 @@ void BM_TransitionPipelined(benchmark::State& state) {
     max_node_cpu = encoder.stats().max_node_cpu;
     sim_ns = last;
   }
+  state.counters["crc_bytes_per_object"] =
+      static_cast<double>(transition_crc_bytes) / static_cast<double>(moved);
   state.counters["copied_bytes_per_obj"] =
       static_cast<double>(
           corec::payload_metrics().bytes_copied.load()) /
@@ -337,17 +377,24 @@ void BM_TransitionPipelined(benchmark::State& state) {
       (static_cast<double>(sim_ns) / 1e9) / 1e9;
   state.SetBytesProcessed(static_cast<std::int64_t>(moved * size));
 }
-BENCHMARK(BM_TransitionPipelined)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TransitionPipelined)
+    ->ArgName("put_crc_pieces")
+    ->Arg(1)
+    ->Arg(kK)
+    ->Unit(benchmark::kMillisecond);
 
 /// Zero-copy stripe preparation alone: chunk views plus the fused
 /// parity encode, no placement. The only copies are the padded tail
-/// chunk and the parity buffer write.
+/// chunk and the parity buffer write; with the object's CRC computed
+/// in kK pieces at creation, the only CRC bytes are the parity's.
 void BM_StripePrep(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
+  const auto crc_pieces = static_cast<std::size_t>(state.range(1));
   Harness h;
   const auto& codec = h.service.codec(kK, kM);
   auto obj = DataObject::real(make_desc(1),
-                              PayloadBuffer::wrap(make_payload(size, 5)));
+                              PayloadBuffer::wrap(make_payload(size, 5)),
+                              crc_pieces);
   corec::payload_metrics().reset();
   std::uint64_t built = 0;
   for (auto _ : state) {
@@ -359,9 +406,13 @@ void BM_StripePrep(benchmark::State& state) {
       static_cast<double>(
           corec::payload_metrics().bytes_copied.load()) /
       static_cast<double>(built);
+  state.counters["crc_bytes_per_object"] =
+      static_cast<double>(crc_bytes()) / static_cast<double>(built);
   state.SetBytesProcessed(static_cast<std::int64_t>(built * size));
 }
-BENCHMARK(BM_StripePrep)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
+BENCHMARK(BM_StripePrep)
+    ->ArgNames({"bytes", "put_crc_pieces"})
+    ->ArgsProduct({{64 << 10, 1 << 20, 8 << 20}, {1, kK}});
 
 }  // namespace
 

@@ -33,6 +33,7 @@ struct PayloadMetrics {
   std::atomic<std::uint64_t> bytes_copied{0};   // bytes memcpy'd into them
   std::atomic<std::uint64_t> cow_detaches{0};   // private copies on mutate
   std::atomic<std::uint64_t> crc_computed{0};   // full CRC32C passes
+  std::atomic<std::uint64_t> crc_bytes{0};      // bytes those passes read
   std::atomic<std::uint64_t> crc_cache_hits{0}; // recomputes avoided
 
   // Slab-pool traffic (maintained by corec::slab). outstanding_bytes is
@@ -48,6 +49,7 @@ struct PayloadMetrics {
     bytes_copied.store(0, std::memory_order_relaxed);
     cow_detaches.store(0, std::memory_order_relaxed);
     crc_computed.store(0, std::memory_order_relaxed);
+    crc_bytes.store(0, std::memory_order_relaxed);
     crc_cache_hits.store(0, std::memory_order_relaxed);
     pool_hits.store(0, std::memory_order_relaxed);
     pool_misses.store(0, std::memory_order_relaxed);
@@ -71,8 +73,16 @@ PayloadMetrics& payload_metrics();
 /// Each mutation bumps the store's generation counter; `crc32c()`
 /// caches the last computed tag against that generation, so unmutated
 /// reads skip recompute while a corrupted buffer always re-checksums.
-/// The cache only ever holds values this view actually computed —
+/// The cache only ever holds values computed from the bytes themselves
+/// (by this view, or by the view it was sliced or copied from) —
 /// claimed tags from the wire never seed it.
+///
+/// `crc32c(pieces)` fills the cache with the CRCs of `pieces`
+/// stripe-aligned pieces as well as the whole tag (joined with
+/// crc32c_combine, one read of every byte). A slice that is exactly one
+/// such piece inherits its tag, and padded_copy() of the short tail
+/// piece zero-extends it, so striping a checksummed object never
+/// re-reads its data bytes.
 ///
 /// Thread-safety: the refcount and generation are atomic, so distinct
 /// views may be copied/read concurrently (ParallelCoder workers read
@@ -114,8 +124,17 @@ class PayloadBuffer {
     return span().subspan(offset, length);
   }
 
-  /// View of `[offset, offset+length)` sharing this backing store.
+  /// View of `[offset, offset+length)` sharing this backing store. An
+  /// identical view inherits the cached tag, and a view that is exactly
+  /// one cached stripe piece inherits that piece's tag.
   PayloadBuffer slice(std::size_t offset, std::size_t length) const;
+
+  /// A fresh pool-backed store of `padded` bytes: this view's bytes
+  /// from `offset` (as many as exist, up to `padded`) followed by
+  /// zeros. When the copied bytes are exactly one cached stripe piece
+  /// (the short tail of a stripe), the copy's tag is that piece's CRC
+  /// zero-extended, so the padded shard is not re-read.
+  PayloadBuffer padded_copy(std::size_t offset, std::size_t padded) const;
 
   /// View of the first `length` bytes sharing this backing store.
   PayloadBuffer prefix(std::size_t length) const { return slice(0, length); }
@@ -150,8 +169,12 @@ class PayloadBuffer {
   /// generation so cached CRC tags are invalidated.
   MutableByteSpan mutable_span();
 
-  /// CRC32C of this view, cached per (view, generation).
-  std::uint32_t crc32c() const;
+  /// CRC32C of this view, cached per (view, generation). With
+  /// `pieces` > 1 a fresh computation also caches the CRCs of the
+  /// pieces [i*w, min((i+1)*w, size())), w = ceil(size() / pieces) —
+  /// the data chunks of a k = `pieces` stripe — for slice() and
+  /// padded_copy() to inherit. The whole tag is the same either way.
+  std::uint32_t crc32c(std::size_t pieces = 1) const;
 
   /// Materializes an owned copy of this view's bytes.
   Bytes to_bytes() const;
@@ -180,17 +203,31 @@ class PayloadBuffer {
     std::atomic<std::uint64_t> generation{0};
   };
 
+  // Stripe widths up to this keep their piece tags; wider stripes fall
+  // back to reading their data shards. Inline, so tagging a put adds
+  // no allocation.
+  static constexpr std::size_t kMaxCrcPieces = 8;
+
   static std::shared_ptr<Rep> make_rep(Bytes bytes);
   static std::shared_ptr<Rep> make_rep(slab::Block block);
+
+  // Cached tag of the piece starting at `offset` if it spans exactly
+  // `length` bytes and the cache is current; false otherwise.
+  bool cached_piece(std::size_t offset, std::size_t length,
+                    std::uint32_t* crc) const;
 
   std::shared_ptr<Rep> rep_;
   std::size_t offset_ = 0;
   std::size_t size_ = 0;
   // Last CRC this view computed, valid while the store's generation
-  // still matches crc_gen_. Mutable: crc32c() is logically const.
+  // still matches crc_gen_, with the tags of its piece_count_ stripe
+  // pieces (0: none; piece width ceil(size_ / piece_count_)).
+  // Mutable: crc32c() is logically const.
   mutable std::uint32_t crc_ = 0;
-  mutable std::uint64_t crc_gen_ = 0;
   mutable bool crc_valid_ = false;
+  mutable std::uint8_t piece_count_ = 0;
+  mutable std::uint64_t crc_gen_ = 0;
+  mutable std::uint32_t piece_crc_[kMaxCrcPieces] = {};
 };
 
 /// Appends POD values and length-prefixed blobs to a growing byte vector.

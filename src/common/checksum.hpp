@@ -20,4 +20,14 @@ inline std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0) {
   return crc32c(data.data(), data.size(), seed);
 }
 
+/// CRC32C of the concatenation A·B from `crc_a` = crc32c(A),
+/// `crc_b` = crc32c(B) and `len_b` = |B|, without reading either.
+/// O(log len_b) carry-less multiplies modulo the polynomial.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::size_t len_b);
+
+/// CRC32C of A followed by `zeros` zero bytes, from `crc_a` alone.
+/// `crc32c_zero_extend(0, n)` is the CRC32C of n zero bytes.
+std::uint32_t crc32c_zero_extend(std::uint32_t crc_a, std::size_t zeros);
+
 }  // namespace corec

@@ -84,6 +84,7 @@ class CorecScheme final : public staging::ResilienceScheme {
 
   std::string name() const override { return "corec"; }
   void bind(staging::StagingService* service) override;
+  std::size_t stripe_width_hint() const override { return options_.k; }
 
   SimTime protect(const staging::DataObject& obj, ServerId primary,
                   const staging::ObjectDescriptor* previous,

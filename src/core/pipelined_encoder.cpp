@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <map>
 #include <utility>
 
@@ -128,9 +127,10 @@ SimTime PipelinedEncoder::encode_one(Pending& p, SimTime now,
     }
   }
 
-  // Real bytes: data-shard views sliced exactly as make_stripe_payload
-  // (zero concatenation, only a padded tail materializes) plus one
-  // shared parity allocation the ring hops accumulate into.
+  // Real bytes: the data shards exactly as make_stripe_payload builds
+  // them (zero concatenation, put-time CRC pieces inherited, only a
+  // padded tail materializes) plus one shared parity allocation the
+  // ring hops accumulate into.
   StripePayload stripe_payload;
   stripe_payload.chunk_size = chunk;
   std::vector<ByteSpan> data_spans(k_);
@@ -138,24 +138,9 @@ SimTime PipelinedEncoder::encode_one(Pending& p, SimTime now,
   std::vector<MutableByteSpan> parity_spans(m_);
   if (!obj.phantom) {
     stripe_payload.shards.reserve(n);
+    resilience::stripe_data_shards(obj, k_, chunk, &stripe_payload.shards);
     for (std::size_t i = 0; i < k_; ++i) {
-      const std::size_t begin = i * chunk;
-      const std::size_t have =
-          begin < obj.data.size() ? obj.data.size() - begin : 0;
-      PayloadBuffer view;
-      if (have >= chunk) {
-        view = obj.data.slice(begin, chunk);
-      } else {
-        Bytes padded(chunk, 0);
-        if (have > 0) {
-          std::memcpy(padded.data(), obj.data.data() + begin, have);
-        }
-        view = PayloadBuffer::wrap(std::move(padded));
-      }
-      data_spans[i] = view.span();
-      stripe_payload.shards.push_back(DataObject::real(
-          obj.desc.shard_of(static_cast<ShardIndex>(1 + i)),
-          std::move(view)));
+      data_spans[i] = stripe_payload.shards[i].data.span();
     }
     parity = PayloadBuffer::zeros(chunk * m_);
     MutableByteSpan parity_all = parity.mutable_span();

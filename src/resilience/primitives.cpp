@@ -102,6 +102,22 @@ SimTime place_replicated(StagingService& service, const DataObject& obj,
   return std::max(durable + cost.metadata_op, meta_ack);
 }
 
+void stripe_data_shards(const DataObject& obj, std::size_t k,
+                        std::size_t chunk, std::vector<DataObject>* shards) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t begin = i * chunk;
+    // Only the chunk that runs past the payload end (the padded tail)
+    // materializes, pool-backed so it recycles through the slab
+    // magazines instead of a fresh heap carve per demotion.
+    PayloadBuffer view = begin + chunk <= obj.data.size()
+                             ? obj.data.slice(begin, chunk)
+                             : obj.data.padded_copy(begin, chunk);
+    shards->push_back(DataObject::real(
+        obj.desc.shard_of(static_cast<ShardIndex>(1 + i)),
+        std::move(view)));
+  }
+}
+
 StripePayload make_stripe_payload(const erasure::Codec& codec,
                                   const DataObject& obj, std::size_t k,
                                   std::size_t m) {
@@ -112,31 +128,10 @@ StripePayload make_stripe_payload(const erasure::Codec& codec,
   const std::size_t chunk = stripe.chunk_size;
 
   stripe.shards.reserve(k + m);
+  stripe_data_shards(obj, k, chunk, &stripe.shards);
   std::vector<ByteSpan> data_spans(k);
-  // Data shards: views into obj.data, zero concatenation. Only a chunk
-  // that runs past the payload end (the padded tail) materializes.
   for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t begin = i * chunk;
-    const std::size_t have =
-        begin < obj.data.size() ? obj.data.size() - begin : 0;
-    PayloadBuffer view;
-    if (have >= chunk) {
-      view = obj.data.slice(begin, chunk);
-    } else {
-      // Pool-backed scratch: the padded tail recycles through the slab
-      // magazines instead of a fresh heap carve per demotion.
-      view = PayloadBuffer::zeros(chunk);
-      if (have > 0) {
-        std::memcpy(view.mutable_span().data(), obj.data.data() + begin,
-                    have);
-        payload_metrics().bytes_copied.fetch_add(
-            have, std::memory_order_relaxed);
-      }
-    }
-    data_spans[i] = view.span();
-    stripe.shards.push_back(DataObject::real(
-        obj.desc.shard_of(static_cast<ShardIndex>(1 + i)),
-        std::move(view)));
+    data_spans[i] = stripe.shards[i].data.span();
   }
 
   // Parity: one pooled allocation for all m chunks, written in place

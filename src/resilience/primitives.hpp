@@ -25,9 +25,20 @@ struct StripePayload {
   std::size_t chunk_size = 0;
 };
 
-/// Builds the stripe for a real `obj`: slices k chunk views from
-/// obj.data with zero concatenation, encodes m parity chunks through
-/// `codec.encode_view`, and stamps every shard's CRC32C (cached in its
+/// Appends the k data shards of a real `obj`'s stripe with `chunk`-byte
+/// chunks to `shards`: views into obj.data with zero concatenation,
+/// except a chunk that runs past the payload end, which becomes a
+/// zero-padded pool copy. Each shard is CRC-stamped; when obj.data
+/// carries cached k-piece tags from the put (PayloadBuffer::crc32c)
+/// the stamps are inherited and no data byte is re-read. Shared by
+/// make_stripe_payload and the pipelined ring encoder.
+void stripe_data_shards(const staging::DataObject& obj, std::size_t k,
+                        std::size_t chunk,
+                        std::vector<staging::DataObject>* shards);
+
+/// Builds the stripe for a real `obj`: the k data shards of
+/// stripe_data_shards, m parity chunks encoded through
+/// `codec.encode_view`, and every shard's CRC32C stamped (cached in its
 /// buffer view, so downstream placement never recomputes). Safe to run
 /// off the simulation thread — it touches only `obj` and `codec` — which
 /// is how the batched encoder overlaps stripe preparation across a

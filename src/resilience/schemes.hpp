@@ -68,6 +68,7 @@ class ErasureScheme final : public staging::ResilienceScheme {
       : k_(k), m_(m), update_mode_(update_mode) {}
 
   std::string name() const override { return "erasure"; }
+  std::size_t stripe_width_hint() const override { return k_; }
   SimTime protect(const staging::DataObject& obj, ServerId primary,
                   const staging::ObjectDescriptor* previous,
                   SimTime arrived, staging::Breakdown* bd) override;
@@ -92,6 +93,7 @@ class RandomHybridScheme final : public staging::ResilienceScheme {
       : k_(k), m_(m), n_level_(n_level), p_replicate_(p_replicate) {}
 
   std::string name() const override { return "hybrid-random"; }
+  std::size_t stripe_width_hint() const override { return k_; }
   SimTime protect(const staging::DataObject& obj, ServerId primary,
                   const staging::ObjectDescriptor* previous,
                   SimTime arrived, staging::Breakdown* bd) override;

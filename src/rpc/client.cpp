@@ -229,6 +229,13 @@ StatusOr<GetResult> Client::get(const ObjectDescriptor& desc) {
   result.payload = std::move(resp.payload);
   result.payload = result.payload.compacted(
       std::max<std::size_t>(4096, result.payload.size() * 8));
+  // End-to-end check of what the server returned against the CRC32C it
+  // recorded at put (0: none recorded). The tag stays cached in the
+  // returned view, so a caller's own crc32c() costs nothing.
+  if (resp.checksum != 0 && result.payload.crc32c() != resp.checksum) {
+    return Status::DataLoss("get " + desc.to_string() +
+                            ": payload does not match its CRC32C");
+  }
   result.kind = resp.kind;
   result.checksum = resp.checksum;
   return result;

@@ -147,8 +147,14 @@ Status FrameAssembler::parse() {
       // (rotation carries this remnant if the buffer fills first).
       return Status::Ok();
     }
-    // Large body mid-flight: assemble it directly in its own pooled
-    // allocation so it neither pins the read buffer nor overflows it.
+    if (parsed_ + kFrameHeaderBytes + body_len <= chunk_) {
+      // A large body that still fits in this buffer: wait for the
+      // rest, so it ends as the same zero-copy slice it would be had
+      // it arrived in one read — no copy that depends on recv timing.
+      return Status::Ok();
+    }
+    // Large body mid-flight that would overflow the buffer: assemble
+    // it directly in its own pooled allocation.
     direct_block_ = slab::allocate(body_len);
     std::memcpy(direct_block_.data(), base_ + parsed_ + kFrameHeaderBytes,
                 body_avail);

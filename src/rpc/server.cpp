@@ -172,10 +172,12 @@ void Server::on_accept() {
     }
     if (auto hit = COREC_FAILPOINT("rpc.server.accept_limit")) {
       // Simulated fd exhaustion: the descriptor table is "full", so
-      // drop this fd and park the acceptor like a real EMFILE.
+      // park the acceptor like a real EMFILE and drop this fd. Parking
+      // first means a client that sees the drop also sees the pause
+      // in stats().
       injected_failures_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
       pause_accept();
+      ::close(fd);
       return;
     }
     if (!set_nonblocking(fd).ok() || !set_nodelay(fd).ok()) {

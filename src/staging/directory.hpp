@@ -98,7 +98,7 @@ class Directory {
   /// Iterate every (descriptor, location).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [desc, loc] : locations_) fn(desc, loc);
+    for (const auto& [desc, entry] : locations_) fn(desc, entry.loc);
   }
 
  private:
@@ -107,11 +107,29 @@ class Directory {
     return ObjectDescriptor{var, 0, box, kWholeObject};
   }
 
-  std::unordered_map<ObjectDescriptor, ObjectLocation, DescriptorHash>
-      locations_;
+  // A location plus the index of its descriptor in its (var, version)
+  // bucket, so remove() reaches the bucket entry without a scan.
+  struct Entry {
+    ObjectLocation loc;
+    std::size_t slot = 0;
+  };
+  struct Slot {
+    ObjectDescriptor desc;
+    bool live = true;
+  };
+  // Descriptors of one (var, version) in insertion order. remove()
+  // leaves a dead slot; once half the slots are dead the bucket
+  // compacts in order, so removal is amortized O(1).
+  struct Bucket {
+    std::vector<Slot> slots;
+    std::size_t dead = 0;
+  };
+
+  void compact(Bucket* bucket);
+
+  std::unordered_map<ObjectDescriptor, Entry, DescriptorHash> locations_;
   // (var, version) -> descriptors, for geometric queries.
-  std::map<std::pair<VarId, Version>, std::vector<ObjectDescriptor>>
-      by_version_;
+  std::map<std::pair<VarId, Version>, Bucket> by_version_;
   // Normalized (var, box) -> live descriptor.
   std::unordered_map<ObjectDescriptor, ObjectDescriptor, DescriptorHash>
       entities_;

@@ -74,11 +74,16 @@ struct DataObject {
   /// Real payload from an existing (possibly shared) buffer. The CRC is
   /// computed through the buffer's generation-checked cache, so stamping
   /// a shard view whose tag was already computed costs nothing.
-  static DataObject real(ObjectDescriptor d, PayloadBuffer buffer) {
+  /// `crc_pieces` > 1 also caches the tags of that many stripe-aligned
+  /// pieces (see PayloadBuffer::crc32c), so a later k = crc_pieces
+  /// stripe of this object stamps its data shards without re-reading
+  /// them.
+  static DataObject real(ObjectDescriptor d, PayloadBuffer buffer,
+                         std::size_t crc_pieces = 1) {
     DataObject o;
     o.desc = d;
     o.logical_size = buffer.size();
-    o.checksum = buffer.crc32c();
+    o.checksum = buffer.crc32c(crc_pieces);
     o.data = std::move(buffer);
     return o;
   }

@@ -5,6 +5,7 @@
 // recovery sweeps).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/types.hpp"
@@ -24,8 +25,16 @@ class ResilienceScheme {
   /// Display name, e.g. "corec", "replication".
   virtual std::string name() const = 0;
 
-  /// Called once by the service after construction.
-  virtual void bind(StagingService* service) { service_ = service; }
+  /// Called once by the service after construction. Records
+  /// stripe_width_hint() on the service; a forwarding scheme that binds
+  /// its inner scheme after itself leaves the inner hint in place.
+  virtual void bind(StagingService* service);
+
+  /// Data-shard count k of the stripes this scheme makes (1 for schemes
+  /// that never stripe). The service checksums each put as k
+  /// stripe-aligned pieces, so the data shards of a later stripe
+  /// inherit their CRCs instead of re-reading the bytes.
+  virtual std::size_t stripe_width_hint() const { return 1; }
 
   /// Makes `obj` durable. Called after the client's payload has arrived
   /// at `primary` at virtual time `arrived`. The scheme stores the

@@ -23,6 +23,11 @@ std::vector<std::size_t> invert_ring(const std::vector<ServerId>& ring) {
 
 }  // namespace
 
+void ResilienceScheme::bind(StagingService* service) {
+  service_ = service;
+  service->set_crc_pieces(stripe_width_hint());
+}
+
 StagingService::StagingService(ServiceOptions options, sim::Simulation* sim,
                                std::unique_ptr<ResilienceScheme> scheme)
     : options_(std::move(options)),
@@ -261,7 +266,9 @@ OpResult StagingService::put_impl(VarId var, Version version,
         result.completed = completion;
         return result;
       }
-      obj = DataObject::real(desc, std::move(payload).value());
+      obj = DataObject::real(
+          desc, PayloadBuffer::wrap(std::move(payload).value()),
+          crc_pieces_);
     }
 
     // Region-entity update semantics: a put over the same (var, box)

@@ -178,6 +178,10 @@ class StagingService {
   MetadataPlane& directory() { return *meta_; }
   const MetadataPlane& directory() const { return *meta_; }
 
+  /// Sets the number of stripe-aligned pieces each put is checksummed
+  /// in (ResilienceScheme::bind records the scheme's hint here).
+  void set_crc_pieces(std::size_t pieces) { crc_pieces_ = pieces; }
+
   /// Replaces the metadata plane (non-owning). Must be called before
   /// any traffic: entries already in the local plane are not migrated.
   void attach_metadata(MetadataPlane* meta);
@@ -287,6 +291,7 @@ class StagingService {
   Rng rng_;
   IntegrityStats integrity_;
   std::size_t stored_total_ = 0;  // incremental sum of store bytes
+  std::size_t crc_pieces_ = 1;     // see set_crc_pieces
   std::uint64_t sfc_key_span_;    // max SFC key + 1, for range routing
   std::unordered_map<std::uint64_t, std::unique_ptr<erasure::Codec>>
       codecs_;

@@ -1,15 +1,21 @@
-// End-to-end integrity: CRC32C known answers, the erasure/corruption
-// property suite (every erasure combination within tolerance round
-// trips; checksum-flagged shards repair exactly like missing ones), the
-// scrubber detect-and-repair loop, and the degenerate-size regressions
-// (zero-length and single-byte payloads, empty coding regions).
+// End-to-end integrity: CRC32C known answers and the combine /
+// zero-extension algebra, one CRC pass per staged byte through put and
+// demotion, the erasure/corruption property suite (every erasure
+// combination within tolerance round trips; checksum-flagged shards
+// repair exactly like missing ones), the scrubber detect-and-repair
+// loop, and the degenerate-size regressions (zero-length and
+// single-byte payloads, empty coding regions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.hpp"
 #include "common/thread_pool.hpp"
+#include "core/corec_scheme.hpp"
 #include "erasure/parallel.hpp"
 #include "erasure/stripe.hpp"
 #include "resilience/scrubber.hpp"
@@ -72,6 +78,194 @@ TEST(Crc32c, DetectsSingleBitFlips) {
     EXPECT_NE(crc32c(b.data(), b.size()), clean) << "offset " << i;
     b[i] ^= 0x40;
   }
+}
+
+// crc32c_combine / crc32c_zero_extend against a direct pass over the
+// concatenation, over every pair of short lengths.
+TEST(Crc32c, CombineAndZeroExtendMatchDirectOverShortLengths) {
+  const Bytes a_all = pattern(257, 41);
+  const Bytes b_all = pattern(257, 97);
+  for (std::size_t la = 0; la <= 257; ++la) {
+    const std::uint32_t crc_a = crc32c(a_all.data(), la);
+    Bytes joined(a_all.begin(), a_all.begin() + la);
+    Bytes padded = joined;
+    for (std::size_t lb = 0; lb <= 257; ++lb) {
+      if (lb > 0) {
+        joined.push_back(b_all[lb - 1]);
+        padded.push_back(0);
+      }
+      const std::uint32_t crc_b = crc32c(b_all.data(), lb);
+      ASSERT_EQ(crc32c_combine(crc_a, crc_b, lb),
+                crc32c(joined.data(), joined.size()))
+          << "la " << la << " lb " << lb;
+      ASSERT_EQ(crc32c_zero_extend(crc_a, lb),
+                crc32c(padded.data(), padded.size()))
+          << "la " << la << " zeros " << lb;
+      // The chained-seed API computes the same concatenation.
+      ASSERT_EQ(crc32c(b_all.data(), lb, crc_a),
+                crc32c_combine(crc_a, crc_b, lb));
+    }
+  }
+  const Bytes zeros(300, 0);
+  EXPECT_EQ(crc32c_zero_extend(0, 300), crc32c(zeros.data(), zeros.size()));
+}
+
+// Stripe-aligned pieces (w = ceil(n / k), the last short or empty)
+// joined with crc32c_combine reproduce the whole CRC at every chunk
+// boundary, and the tail piece zero-extends to the padded chunk's CRC.
+TEST(Crc32c, PieceTagsJoinToTheWholeTagAtChunkBoundaries) {
+  std::mt19937_64 rng(20180521);
+  std::vector<std::size_t> sizes = {1, 2, 3, 7, 8, 9, 63, 64, 65,
+                                    4095, 4096, 4097, 32768, 65536 + 3};
+  for (int i = 0; i < 6; ++i) sizes.push_back(1 + rng() % (1u << 20));
+  for (std::size_t n : sizes) {
+    Bytes data(n);
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
+    const std::uint32_t whole = crc32c(data.data(), n);
+    for (std::size_t k = 1; k <= 16; ++k) {
+      const std::size_t w = (n + k - 1) / k;
+      std::uint32_t joined = 0;
+      std::uint32_t chained = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t begin = std::min(i * w, n);
+        const std::size_t len = std::min(w, n - begin);
+        const std::uint32_t piece = crc32c(data.data() + begin, len);
+        joined = crc32c_combine(joined, piece, len);
+        chained = crc32c(data.data() + begin, len, chained);
+        ASSERT_EQ(joined, chained) << "n " << n << " k " << k;
+        if (len < w) {
+          Bytes tail(data.begin() + static_cast<std::ptrdiff_t>(begin),
+                     data.begin() + static_cast<std::ptrdiff_t>(begin + len));
+          tail.resize(w, 0);
+          ASSERT_EQ(crc32c_zero_extend(piece, w - len),
+                    crc32c(tail.data(), tail.size()))
+              << "n " << n << " k " << k << " piece " << i;
+        }
+      }
+      ASSERT_EQ(joined, whole) << "n " << n << " k " << k;
+      auto buf = PayloadBuffer::copy_of(data);
+      ASSERT_EQ(buf.crc32c(k), whole) << "n " << n << " k " << k;
+    }
+  }
+}
+
+// ---- one CRC pass per staged byte -------------------------------------------
+
+staging::ServiceOptions corec_service_options() {
+  staging::ServiceOptions opts;
+  opts.topology = net::Topology(4, 2, 1);
+  opts.domain = geom::BoundingBox::cube(0, 0, 0, 31, 31, 31);
+  opts.fit.element_size = 1;
+  opts.fit.target_bytes = 64u << 10;
+  return opts;
+}
+
+// RS(3+1), one replica, and a floor equal to the erasure efficiency:
+// every put is demoted at the end of its step.
+core::CorecOptions demote_everything() {
+  core::CorecOptions o;
+  o.k = 3;
+  o.m = 1;
+  o.n_level = 1;
+  o.efficiency_floor = 0.75;
+  return o;
+}
+
+struct CorecHarness {
+  CorecHarness()
+      : scheme(new core::CorecScheme(demote_everything())),
+        service(corec_service_options(), &sim,
+                std::unique_ptr<staging::ResilienceScheme>(scheme)) {}
+
+  std::pair<staging::ObjectDescriptor, staging::ObjectLocation> only() {
+    std::pair<staging::ObjectDescriptor, staging::ObjectLocation> out;
+    std::size_t n = 0;
+    service.directory().for_each([&](const staging::ObjectDescriptor& d,
+                                     const staging::ObjectLocation& l) {
+      out = {d, l};
+      ++n;
+    });
+    EXPECT_EQ(n, 1u);
+    return out;
+  }
+
+  // Every stored shard matches its recorded CRC, and the data shards
+  // hold exactly `payload`.
+  void expect_stripe_holds(const Bytes& payload) {
+    auto [desc, loc] = only();
+    ASSERT_EQ(loc.protection, staging::Protection::kEncoded);
+    EXPECT_EQ(loc.object_checksum, crc32c(payload.data(), payload.size()));
+    Bytes data;
+    for (std::size_t i = 0; i < loc.k + loc.m; ++i) {
+      const auto* stored =
+          service.server(loc.stripe_servers[i])
+              .store.find(desc.shard_of(static_cast<staging::ShardIndex>(
+                  1 + i)));
+      ASSERT_NE(stored, nullptr) << "shard " << i;
+      EXPECT_EQ(crc32c(stored->object.data.span()),
+                staging::shard_checksum(loc, i))
+          << "shard " << i;
+      EXPECT_EQ(stored->object.checksum, staging::shard_checksum(loc, i));
+      if (i < loc.k) {
+        auto span = stored->object.data.span();
+        data.insert(data.end(), span.begin(), span.end());
+      }
+    }
+    data.resize(payload.size());
+    EXPECT_EQ(data, payload);
+  }
+
+  sim::Simulation sim;
+  core::CorecScheme* scheme;  // owned by service
+  staging::StagingService service;
+};
+
+TEST(CrcOnePass, PutAndDemotionReadEachLogicalByteOnce) {
+  CorecHarness h;
+  const auto box = geom::BoundingBox::cube(0, 0, 0, 31, 31, 31);
+  const Bytes payload = pattern(32u << 10, 11);
+  ASSERT_EQ(box.volume(), payload.size());
+
+  payload_metrics().reset();
+  ASSERT_TRUE(h.service.put(1, 0, box, payload).status.ok());
+  EXPECT_EQ(payload_metrics().crc_bytes.load(), payload.size());
+  h.service.end_time_step(0);
+  ASSERT_EQ(h.scheme->stats().demotions, 1u);
+
+  // The put's single pass plus the parity; the data shards (two views
+  // and a zero-padded tail) inherit their tags from the put.
+  auto [desc, loc] = h.only();
+  ASSERT_EQ(loc.protection, staging::Protection::kEncoded);
+  EXPECT_EQ(payload_metrics().crc_bytes.load(),
+            payload.size() + loc.m * loc.chunk_size);
+  EXPECT_EQ(h.service.integrity().quarantined, 0u);
+  h.expect_stripe_holds(payload);
+
+  Bytes out;
+  ASSERT_TRUE(h.service.get(1, 0, box, &out).status.ok());
+  EXPECT_EQ(out, payload);
+}
+
+TEST(CrcOnePass, FlippedPrimaryIsQuarantinedNotStamped) {
+  CorecHarness h;
+  const auto box = geom::BoundingBox::cube(0, 0, 0, 31, 31, 31);
+  const Bytes payload = pattern(32u << 10, 29);
+  ASSERT_TRUE(h.service.put(1, 0, box, payload).status.ok());
+  auto [desc, loc] = h.only();
+  ASSERT_EQ(loc.protection, staging::Protection::kReplicated);
+  // Corrupt the first data chunk's bytes on the primary: its put-time
+  // piece tags must die with the mutation.
+  ASSERT_TRUE(h.service.corrupt_at(loc.primary, desc, 100));
+
+  h.service.end_time_step(0);
+  ASSERT_EQ(h.scheme->stats().demotions, 1u);
+  EXPECT_EQ(h.service.integrity().quarantined, 1u);
+  EXPECT_EQ(h.service.integrity().mismatches, 1u);
+  // The stripe was built from the clean replica.
+  h.expect_stripe_holds(payload);
+  Bytes out;
+  ASSERT_TRUE(h.service.get(1, 0, box, &out).status.ok());
+  EXPECT_EQ(out, payload);
 }
 
 // ---- property: all erasure combinations within tolerance -----------------

@@ -243,6 +243,86 @@ TEST(StripePayload, DataShardsAreZeroCopyViewsAndDecodable) {
   EXPECT_EQ(rebuilt, payload);
 }
 
+TEST(PayloadBuffer, StripePieceTagsInheritOnlyForExactPieces) {
+  const Bytes bytes = pattern_bytes(1000, 3);  // k = 3: pieces 334, 334, 332
+  auto buf = PayloadBuffer::wrap(Bytes(bytes));
+  payload_metrics().reset();
+  EXPECT_EQ(buf.crc32c(3), crc32c(bytes.data(), bytes.size()));
+  EXPECT_EQ(payload_metrics().crc_bytes.load(), bytes.size());
+
+  // Exact pieces inherit: no byte is read again.
+  EXPECT_EQ(buf.slice(0, 334).crc32c(), crc32c(bytes.data(), 334));
+  EXPECT_EQ(buf.slice(334, 334).crc32c(), crc32c(bytes.data() + 334, 334));
+  EXPECT_EQ(buf.slice(668, 332).crc32c(), crc32c(bytes.data() + 668, 332));
+  Bytes tail(bytes.begin() + 668, bytes.end());
+  tail.resize(334, 0);
+  auto padded = buf.padded_copy(668, 334);
+  EXPECT_EQ(padded, tail);
+  EXPECT_EQ(padded.crc32c(), crc32c(tail.data(), tail.size()));
+  EXPECT_EQ(payload_metrics().crc_bytes.load(), bytes.size());
+  EXPECT_EQ(payload_metrics().crc_computed.load(), 1u);
+
+  // Misaligned or multi-piece ranges read their bytes.
+  EXPECT_EQ(buf.slice(1, 334).crc32c(), crc32c(bytes.data() + 1, 334));
+  EXPECT_EQ(buf.slice(0, 668).crc32c(), crc32c(bytes.data(), 668));
+  EXPECT_EQ(payload_metrics().crc_bytes.load(), bytes.size() + 334 + 668);
+}
+
+TEST(PayloadBuffer, MutationDropsStripePieceTags) {
+  Bytes bytes = pattern_bytes(999, 8);
+  auto buf = PayloadBuffer::wrap(Bytes(bytes));
+  buf.crc32c(3);
+  // Sole full-range owner: the flip lands in place and only the
+  // generation bump stands between the old tags and the new bytes.
+  buf.mutable_span()[10] ^= 0x01;
+  bytes[10] ^= 0x01;
+  payload_metrics().reset();
+  EXPECT_EQ(buf.slice(0, 333).crc32c(), crc32c(bytes.data(), 333));
+  EXPECT_EQ(payload_metrics().crc_computed.load(), 1u);
+  auto tail = buf.padded_copy(666, 400);
+  Bytes expect(bytes.begin() + 666, bytes.end());
+  expect.resize(400, 0);
+  EXPECT_EQ(tail.crc32c(), crc32c(expect.data(), expect.size()));
+  EXPECT_EQ(payload_metrics().crc_computed.load(), 2u);
+}
+
+TEST(StripePayload, DataShardsInheritThePutPieceTags) {
+  const std::size_t k = 3, m = 1;
+  auto codec = std::move(erasure::make_reed_solomon(k, m)).value();
+  auto payload = pattern_bytes(32 * 1024, 21);  // chunk 10923, short tail
+  auto obj = DataObject::real(desc(12), PayloadBuffer::wrap(Bytes(payload)),
+                              /*crc_pieces=*/k);
+  EXPECT_EQ(obj.checksum, crc32c(payload.data(), payload.size()));
+
+  payload_metrics().reset();
+  auto stripe = resilience::make_stripe_payload(*codec, obj, k, m);
+  const std::size_t chunk = stripe.chunk_size;
+  EXPECT_EQ(payload_metrics().crc_bytes.load(), m * chunk)
+      << "only parity bytes are read";
+  for (const auto& shard : stripe.shards) {
+    EXPECT_EQ(shard.checksum, crc32c(shard.data.span()));
+  }
+}
+
+TEST(StripePayload, WithChecksumObjectsNeverSeedPieceTags) {
+  const std::size_t k = 3, m = 1;
+  auto codec = std::move(erasure::make_reed_solomon(k, m)).value();
+  auto payload = pattern_bytes(32 * 1024, 22);
+  const std::uint32_t real_crc = crc32c(payload.data(), payload.size());
+  for (std::uint32_t claim : {real_crc, real_crc ^ 0xDEADBEEFu}) {
+    auto obj = DataObject::with_checksum(
+        desc(13), PayloadBuffer::wrap(Bytes(payload)), claim);
+    payload_metrics().reset();
+    auto stripe = resilience::make_stripe_payload(*codec, obj, k, m);
+    const std::size_t chunk = stripe.chunk_size;
+    // A claimed tag vouches for nothing: every data shard is read.
+    EXPECT_EQ(payload_metrics().crc_bytes.load(), (k + m) * chunk);
+    for (const auto& shard : stripe.shards) {
+      EXPECT_EQ(shard.checksum, crc32c(shard.data.span()));
+    }
+  }
+}
+
 TEST(ParallelCoder, EncodesSharedChunkViewsWithoutDetaching) {
   const std::size_t k = 4, m = 2, chunk = 8 * 1024;
   auto codec = std::move(erasure::make_reed_solomon(k, m)).value();
@@ -289,21 +369,30 @@ TEST(ParallelCoder, EncodesSharedChunkViewsWithoutDetaching) {
 TEST(PayloadBuffer, ConcurrentReadersOfDistinctViews) {
   // Views may be copied/sliced/read from many threads at once as long
   // as each individual view object stays thread-private. Run under
-  // tsan to prove the refcount/generation contract.
-  auto buf = PayloadBuffer::wrap(pattern_bytes(64 * 1024, 17));
+  // tsan to prove the refcount/generation contract — including the
+  // stripe piece tags every slice below inherits from `buf`.
+  constexpr std::size_t kPiece = 8192;
+  auto buf = PayloadBuffer::wrap(pattern_bytes(8 * kPiece, 17));
+  buf.crc32c(8);
+  payload_metrics().reset();
   std::vector<std::thread> threads;
-  std::atomic<std::uint64_t> sum{0};
+  std::vector<std::uint32_t> seen(8, 0);
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&buf, &sum, t] {
-      PayloadBuffer mine = buf;  // private view, shared store
-      auto view = mine.slice(static_cast<std::size_t>(t) * 4096, 4096);
-      std::uint64_t local = view.crc32c();
-      for (std::size_t i = 0; i < view.size(); i += 512) local += view[i];
-      sum.fetch_add(local, std::memory_order_relaxed);
+    threads.emplace_back([&buf, &seen, t] {
+      PayloadBuffer mine = buf;  // private view, shared store and tags
+      const std::size_t at = static_cast<std::size_t>(t) * kPiece;
+      std::uint32_t tag = mine.slice(at, kPiece).crc32c();
+      if (mine.padded_copy(at, kPiece).crc32c() != tag) tag = 0;
+      seen[static_cast<std::size_t>(t)] = tag;
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_NE(sum.load(), 0u);
+  EXPECT_EQ(payload_metrics().crc_bytes.load(), 0u)
+      << "every slice and copy inherits its piece tag";
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    EXPECT_EQ(seen[t], crc32c(buf.subspan(t * kPiece, kPiece)))
+        << "view " << t;
+  }
   EXPECT_EQ(buf.use_count(), 1);
 }
 

@@ -11,11 +11,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/failpoint.hpp"
 #include "rpc/client.hpp"
 #include "rpc/frame.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
+#include "rpc/socket.hpp"
 
 namespace corec::rpc {
 namespace {
@@ -325,6 +327,50 @@ TEST(RpcLoopback, GetPathCopiesPayloadAtMostOnce) {
   const auto& pm = payload_metrics();
   EXPECT_LT(pm.bytes_copied.load(), kPayloadBytes)
       << "RPC get path must not copy the payload in user space";
+}
+
+// ---- end-to-end integrity -------------------------------------------------
+
+TEST(RpcLoopback, GetRejectsPayloadThatDoesNotMatchItsChecksum) {
+  ServerFixture fx;
+  const ObjectDescriptor desc = desc_of(15, 0);
+  const Bytes payload = pattern_bytes(2048, 4);
+
+  // A raw put frame whose claimed CRC32C is wrong: the server stores
+  // the claim as given, so the mismatch is the client's to catch.
+  PutRequest req;
+  req.desc = desc;
+  req.checksum = crc32c(payload.data(), payload.size()) ^ 0xDEADBEEFu;
+  req.logical_size = payload.size();
+  Bytes body = encode_put_prefix(req);
+  body.insert(body.end(), payload.begin(), payload.end());
+  FrameHeader h;
+  h.opcode = static_cast<std::uint8_t>(OpCode::kPut);
+  h.request_id = 1;
+  h.body_len = static_cast<std::uint32_t>(body.size());
+  Bytes frame;
+  encode_frame_header(h, &frame);
+  frame.insert(frame.end(), body.begin(), body.end());
+
+  auto fd = connect_tcp("127.0.0.1", fx.server.port(), 2000);
+  ASSERT_TRUE(fd.ok()) << fd.status().to_string();
+  ASSERT_TRUE(send_all(fd->get(), frame, 2000).ok());
+  Bytes reply(kFrameHeaderBytes);
+  ASSERT_TRUE(recv_exact(fd->get(), reply, 2000).ok());
+  auto reply_header = decode_frame_header(reply, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(reply_header.ok());
+  ASSERT_EQ(reply_header->code, 0u) << "the put itself is acknowledged";
+
+  Client client(fx.client_options());
+  auto got = client.get(desc);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+
+  // An honest put of the same descriptor reads back fine.
+  ASSERT_TRUE(client.put(desc, PayloadBuffer::copy_of(payload)).ok());
+  auto good = client.get(desc);
+  ASSERT_TRUE(good.ok()) << good.status().to_string();
+  EXPECT_TRUE(good->payload == payload);
 }
 
 // ---- failure envelope ----------------------------------------------------

@@ -2,6 +2,10 @@
 // resolution, entity tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "staging/directory.hpp"
 
 namespace corec::staging {
@@ -131,6 +135,46 @@ TEST(Directory, ForEachVisitsAll) {
     total += l.logical_size;
   });
   EXPECT_EQ(total, 12u);
+}
+
+// remove() leaves dead slots and compacts buckets lazily; queries must
+// still list the live descriptors of a (var, version) in insertion
+// order, exactly as an eagerly erased vector would.
+TEST(Directory, RemoveKeepsInsertionOrderThroughCompaction) {
+  Directory dir;
+  std::vector<ObjectDescriptor> model;  // live descriptors, in order
+  std::mt19937_64 rng(7);
+  std::vector<ObjectDescriptor> pool;
+  for (geom::Coord x = 0; x < 64; ++x) pool.push_back(mk(1, 2, x, 0, x, 3));
+  const auto everything = geom::BoundingBox::rect(0, 0, 63, 3);
+  for (int op = 0; op < 4000; ++op) {
+    const ObjectDescriptor& d = pool[rng() % pool.size()];
+    auto at = std::find(model.begin(), model.end(), d);
+    if (rng() % 3 == 0) {
+      EXPECT_EQ(dir.remove(d), at != model.end());
+      if (at != model.end()) model.erase(at);
+    } else {
+      dir.upsert(d, loc(static_cast<ServerId>(op % 8)));
+      if (at == model.end()) model.push_back(d);
+    }
+    if (op % 50 == 0 || model.empty()) {
+      ASSERT_EQ(dir.query(1, 2, everything), model) << "op " << op;
+      ASSERT_EQ(dir.size(), model.size());
+    }
+  }
+  // query_latest walks the same bucket: with disjoint boxes it lists
+  // every live descriptor, in the same order.
+  EXPECT_EQ(dir.query_latest(1, 5, everything), model);
+  for (const auto& d : model) {
+    ASSERT_NE(dir.find(d), nullptr);
+    EXPECT_TRUE(dir.remove(d));
+  }
+  EXPECT_TRUE(dir.query(1, 2, everything).empty());
+  EXPECT_EQ(dir.size(), 0u);
+  // An emptied bucket is gone; a fresh insert starts a new one.
+  dir.upsert(pool[5], loc(1));
+  EXPECT_EQ(dir.query(1, 2, everything),
+            std::vector<ObjectDescriptor>{pool[5]});
 }
 
 }  // namespace
