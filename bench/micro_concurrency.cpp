@@ -1,7 +1,6 @@
-// Concurrent data-plane microbenchmarks: the legacy single-lock
-// ConcurrentStore vs the lock-striped ShardedObjectStore under 1→8
-// client threads and three read/write mixes (50/50, 95/5 read-heavy,
-// 10/90 put-heavy). Throughput uses real time (the contended resource
+// Concurrent data-plane microbenchmarks: the lock-striped
+// ShardedObjectStore under 1→8 client threads and three read/write
+// mixes (50/50, 95/5 read-heavy, 10/90 put-heavy). Throughput uses real time (the contended resource
 // is the lock, not the CPU); counters surface the shard layer's
 // contention telemetry — lock acquisitions, the fraction that blocked,
 // max shard occupancy — plus the payload-copy counters that prove the
@@ -14,7 +13,6 @@
 
 #include "common/rng.hpp"
 #include "common/sharding.hpp"
-#include "staging/concurrent_store.hpp"
 #include "staging/sharded_store.hpp"
 
 namespace {
@@ -22,8 +20,6 @@ namespace {
 using corec::Bytes;
 using corec::PayloadBuffer;
 using corec::Rng;
-using corec::ShardMetricsSnapshot;
-using corec::staging::ConcurrentStore;
 using corec::staging::DataObject;
 using corec::staging::ObjectDescriptor;
 using corec::staging::ShardedObjectStore;
@@ -31,8 +27,7 @@ using corec::staging::StoredKind;
 
 constexpr int kKeys = 4096;
 constexpr std::size_t kPayloadBytes = 4096;
-// Fixed stripe width so the old-vs-new comparison is the same sweep on
-// every machine (default_shard_count() tracks hardware_concurrency and
+// Fixed stripe width so the sweep is the same on every machine (default_shard_count() tracks hardware_concurrency and
 // would degenerate to one stripe on a single-core CI runner).
 constexpr std::size_t kBenchShards = 16;
 
@@ -64,8 +59,7 @@ struct Fixture {
     }
   }
 
-  template <class StoreT>
-  void prepopulate(StoreT* store) const {
+  void prepopulate(ShardedObjectStore* store) const {
     for (int key = 0; key < kKeys; ++key) {
       (void)store->put(DataObject::real(descs[key], payloads[key]),
                        StoredKind::kPrimary);
@@ -73,49 +67,31 @@ struct Fixture {
   }
 };
 
-template <class StoreT>
-StoreT* make_store();
-template <>
-ConcurrentStore* make_store<ConcurrentStore>() {
-  return new ConcurrentStore();
-}
-template <>
-ShardedObjectStore* make_store<ShardedObjectStore>() {
+ShardedObjectStore* make_store() {
   return new ShardedObjectStore(/*capacity_bytes=*/0, kBenchShards);
 }
 
-ShardMetricsSnapshot metrics_of(const ConcurrentStore&) { return {}; }
-ShardMetricsSnapshot metrics_of(const ShardedObjectStore& s) {
-  return s.shard_metrics();
-}
-
-template <class StoreT>
-struct Shared {
-  static StoreT* store;
-  static Fixture* fixture;
-};
-template <class StoreT>
-StoreT* Shared<StoreT>::store = nullptr;
-template <class StoreT>
-Fixture* Shared<StoreT>::fixture = nullptr;
+// The run's store and fixture, shared by its benchmark threads.
+ShardedObjectStore* g_store = nullptr;
+Fixture* g_fixture = nullptr;
 
 /// One op per iteration: `write_pct`% puts (whole-object overwrite, a
 /// refcount bump — no byte copy), the rest zero-copy gets.
-template <class StoreT>
-void mix_body(benchmark::State& state, unsigned write_pct) {
+void BM_Sharded_Mix(benchmark::State& state) {
+  const auto write_pct = static_cast<unsigned>(state.range(0));
   if (state.thread_index() == 0) {
-    Shared<StoreT>::fixture = new Fixture();
-    Shared<StoreT>::store = make_store<StoreT>();
-    Shared<StoreT>::fixture->prepopulate(Shared<StoreT>::store);
+    g_fixture = new Fixture();
+    g_store = make_store();
+    g_fixture->prepopulate(g_store);
   }
   Rng rng(0x9E3779B9u + 131u * static_cast<unsigned>(state.thread_index()));
-  StoreT* store = nullptr;
+  ShardedObjectStore* store = nullptr;
   const Fixture* fix = nullptr;
   std::uint64_t reads = 0, writes = 0;
   for (auto _ : state) {
     if (store == nullptr) {  // first iteration: after the start barrier
-      store = Shared<StoreT>::store;
-      fix = Shared<StoreT>::fixture;
+      store = g_store;
+      fix = g_fixture;
     }
     const int key = static_cast<int>(rng.next_u32() % kKeys);
     if (rng.next_u32() % 100 < write_pct) {
@@ -133,53 +109,38 @@ void mix_body(benchmark::State& state, unsigned write_pct) {
   state.counters["reads"] = static_cast<double>(reads);
   state.counters["writes"] = static_cast<double>(writes);
   if (state.thread_index() == 0) {
-    const auto m = metrics_of(*Shared<StoreT>::store);
+    const auto m = g_store->shard_metrics();
     state.counters["shards"] = static_cast<double>(m.shards);
     state.counters["lock_acquisitions"] =
         static_cast<double>(m.lock_acquisitions);
     state.counters["contended_pct"] = 100.0 * m.contention_rate();
     state.counters["max_shard_occupancy"] =
         static_cast<double>(m.max_shard_occupancy);
-    delete Shared<StoreT>::store;
-    delete Shared<StoreT>::fixture;
-    Shared<StoreT>::store = nullptr;
-    Shared<StoreT>::fixture = nullptr;
+    delete g_store;
+    delete g_fixture;
+    g_store = nullptr;
+    g_fixture = nullptr;
   }
 }
-
-void BM_SingleLock_Mix(benchmark::State& state) {
-  mix_body<ConcurrentStore>(state,
-                            static_cast<unsigned>(state.range(0)));
-}
-void BM_Sharded_Mix(benchmark::State& state) {
-  mix_body<ShardedObjectStore>(state,
-                               static_cast<unsigned>(state.range(0)));
-}
-
-#define CONCURRENCY_SWEEP(fn)                                     \
-  BENCHMARK(fn)                                                   \
-      ->ArgName("write_pct")                                      \
-      ->Arg(50)  /* 50/50 mix */                                  \
-      ->Arg(5)   /* 95/5 read-heavy */                            \
-      ->Arg(90)  /* put-heavy */                                  \
-      ->Threads(1)                                                \
-      ->Threads(2)                                                \
-      ->Threads(4)                                                \
-      ->Threads(8)                                                \
-      ->UseRealTime()
-
-CONCURRENCY_SWEEP(BM_SingleLock_Mix);
-CONCURRENCY_SWEEP(BM_Sharded_Mix);
+BENCHMARK(BM_Sharded_Mix)
+    ->ArgName("write_pct")
+    ->Arg(50)  // 50/50 mix
+    ->Arg(5)   // 95/5 read-heavy
+    ->Arg(90)  // put-heavy
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Threads(8)
+    ->UseRealTime();
 
 /// Acceptance probe: a read-only run must not copy a single payload
 /// byte or recompute a single CRC — copied_bytes/crc counters are
 /// deltas across the whole timed run (expect 0).
 void BM_Sharded_ReadOnlyZeroCopy(benchmark::State& state) {
-  using S = Shared<ShardedObjectStore>;
   if (state.thread_index() == 0) {
-    S::fixture = new Fixture();
-    S::store = make_store<ShardedObjectStore>();
-    S::fixture->prepopulate(S::store);
+    g_fixture = new Fixture();
+    g_store = make_store();
+    g_fixture->prepopulate(g_store);
     corec::payload_metrics().reset();
   }
   Rng rng(17u + static_cast<unsigned>(state.thread_index()));
@@ -188,8 +149,8 @@ void BM_Sharded_ReadOnlyZeroCopy(benchmark::State& state) {
   std::uint64_t reads = 0;
   for (auto _ : state) {
     if (store == nullptr) {
-      store = S::store;
-      fix = S::fixture;
+      store = g_store;
+      fix = g_fixture;
     }
     const int key = static_cast<int>(rng.next_u32() % kKeys);
     auto got = store->get(fix->descs[key]);
@@ -207,12 +168,12 @@ void BM_Sharded_ReadOnlyZeroCopy(benchmark::State& state) {
         static_cast<double>(pm.cow_detaches.load());
     state.counters["crc_recomputes"] =
         static_cast<double>(pm.crc_computed.load());
-    const auto m = S::store->shard_metrics();
+    const auto m = g_store->shard_metrics();
     state.counters["contended_pct"] = 100.0 * m.contention_rate();
-    delete S::store;
-    delete S::fixture;
-    S::store = nullptr;
-    S::fixture = nullptr;
+    delete g_store;
+    delete g_fixture;
+    g_store = nullptr;
+    g_fixture = nullptr;
   }
 }
 BENCHMARK(BM_Sharded_ReadOnlyZeroCopy)

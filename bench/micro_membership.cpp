@@ -203,7 +203,9 @@ int main(int argc, char** argv) {
       const std::uint64_t out_bytes = fabric.store(victim).total_bytes();
       const auto t0 = Clock::now();
       if (!fabric.drain_server(victim).ok()) break;
-      ServerId joined = fabric.join_server();
+      auto joined_or = fabric.join_server();
+      if (!joined_or.ok()) break;
+      const ServerId joined = *joined_or;
       const auto t1 = Clock::now();
       objects_moved += out_objects + fabric.store(joined).count();
       bytes_moved += out_bytes + fabric.store(joined).total_bytes();

@@ -126,10 +126,21 @@ bool PayloadBuffer::cached_piece(std::size_t offset, std::size_t length,
   return true;
 }
 
+bool PayloadBuffer::sole_owner() const {
+  if (rep_ == nullptr || rep_.use_count() != 1) return false;
+  // The count was last written by the releasing view's acq_rel
+  // decrement. Copying and dropping the pointer are acq_rel
+  // read-modify-writes of that count, so they synchronize with it —
+  // which a fence after the relaxed load would too, but a race
+  // detector that does not model fences cannot see.
+  std::shared_ptr<Rep> acquire = rep_;
+  return true;
+}
+
 MutableByteSpan PayloadBuffer::mutable_span() {
   if (rep_ == nullptr || size_ == 0) return {};
   auto& metrics = payload_metrics();
-  const bool shared = rep_.use_count() > 1;
+  const bool shared = !sole_owner();
   const bool partial = offset_ != 0 || size_ != rep_->len;
   if (shared || partial) {
     auto priv = make_rep(slab::allocate(size_));

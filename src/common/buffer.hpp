@@ -88,9 +88,8 @@ PayloadMetrics& payload_metrics();
 /// views may be copied/read concurrently (ParallelCoder workers read
 /// shared views). Mutating a view, or calling crc32c() on the *same*
 /// view from two threads, requires external synchronization — the
-/// simulator is single-threaded, and the concurrent stores
-/// (ConcurrentStore, ShardedObjectStore) hold their (per-shard)
-/// writer lock across mutations, which satisfies this.
+/// simulator is single-threaded, and ShardedObjectStore holds its
+/// per-shard writer lock across mutations, which satisfies this.
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;
@@ -146,6 +145,12 @@ class PayloadBuffer {
 
   /// Number of views over this backing store (0 for the empty buffer).
   long use_count() const { return rep_ == nullptr ? 0 : rep_.use_count(); }
+
+  /// True when this is the only view over its backing store. Unlike
+  /// use_count() == 1 (a relaxed load), a true result also orders every
+  /// other view's release — and its reads of the bytes — before the
+  /// return, so the caller may then overwrite the store in place.
+  bool sole_owner() const;
 
   /// Bytes of backing store this view keeps alive (>= size() for a
   /// slice). The serving path uses this to decide when a small view is

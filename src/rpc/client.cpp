@@ -31,11 +31,7 @@ Client::Client(ClientOptions options) : options_(std::move(options)) {
 }
 
 FrameAssemblerOptions Client::assembler_options() const {
-  FrameAssemblerOptions fa;
-  fa.max_body = options_.max_frame_bytes;
-  fa.read_chunk_bytes = options_.read_chunk_bytes;
-  fa.inline_body_cutover = options_.inline_body_cutover;
-  return fa;
+  return {.max_body = options_.max_frame_bytes};
 }
 
 void Client::reset_channel(Channel& ch) {

@@ -7,17 +7,14 @@
 //
 // FrameAssembler rebuilds frames incrementally from whatever chunk
 // sizes the socket delivers (partial headers, partial bodies, many
-// frames per read — all shapes). In its default *buffered* mode it
-// recv()s into a pooled read buffer (read_chunk_bytes at a time) and
-// slices every complete frame out of it per advance(), so a pipelined
-// burst costs one syscall for many frames. Small bodies are zero-copy
-// refcounted sub-views of the read buffer — the buffer is parked until
-// the last sliced body releases it — while bodies above
-// inline_body_cutover that are still mid-flight switch to a direct
-// pool allocation so a multi-MiB put never pins (or overflows) the
-// read buffer. With read_chunk_bytes == 0 the assembler runs the
-// legacy unbuffered protocol: one exact span per header/body, used by
-// parity tests as the reference behavior.
+// frames per read — all shapes). It recv()s into a pooled read buffer
+// (kDefaultReadChunkBytes at a time) and slices every complete frame
+// out of it per advance(), so a pipelined burst costs one syscall for
+// many frames. Small bodies are zero-copy refcounted sub-views of the
+// read buffer — the buffer is parked until the last sliced body
+// releases it — while bodies above kDefaultInlineBodyCutover that are
+// still mid-flight switch to a direct pool allocation so a multi-MiB
+// put never pins (or overflows) the read buffer.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +42,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 28;
 /// field can neither over-allocate nor stall the connection.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64ull << 20;
 
-/// Default pooled read-buffer size for buffered assembly.
+/// Default pooled read-buffer size.
 inline constexpr std::size_t kDefaultReadChunkBytes = 256u << 10;
 
 /// Default cutover: a body at most this large assembles inside the
@@ -77,21 +74,22 @@ void encode_frame_header(const FrameHeader& header, Bytes* out);
 StatusOr<FrameHeader> decode_frame_header(ByteSpan bytes,
                                           std::size_t max_body);
 
-/// One fully reassembled frame. In buffered mode a small body is a
-/// refcounted slice of the connection's read buffer (several frames
-/// from one recv share that store); a large body owns its own pooled
-/// allocation.
+/// One fully reassembled frame. A small body is a refcounted slice of
+/// the connection's read buffer (several frames from one recv share
+/// that store); a large body owns its own pooled allocation.
 struct Frame {
   FrameHeader header;
   PayloadBuffer body;
 };
 
-/// Tuning for FrameAssembler.
+/// Shape of a FrameAssembler. Servers and clients set only max_body;
+/// the buffer geometry is a seam for tests that force rotations with
+/// tiny buffers.
 struct FrameAssemblerOptions {
   /// Ceiling on declared body length.
   std::size_t max_body = kDefaultMaxFrameBytes;
-  /// Pooled read-buffer size; 0 selects the legacy unbuffered mode
-  /// (one exact span per header/body stage).
+  /// Pooled read-buffer size; raised to a floor that always leaves
+  /// room for a partial header plus a partial inline body.
   std::size_t read_chunk_bytes = kDefaultReadChunkBytes;
   /// Largest body assembled in place inside the read buffer.
   std::size_t inline_body_cutover = kDefaultInlineBodyCutover;
@@ -105,18 +103,15 @@ struct FrameAssemblerOptions {
 ///   COREC_RETURN_IF_ERROR(asm.advance(n));
 ///   while (asm.frame_ready()) handle(asm.take_frame());
 ///
-/// In buffered mode next_span() is the free tail of the pooled read
-/// buffer, so one recv() can deliver many frames; advance() parses
-/// them all and queues them for take_frame(). next_span() is empty
-/// only after a protocol error has poisoned the assembler (legacy mode
-/// additionally returns an empty span while a completed frame waits to
-/// be taken, since it has exactly one frame of staging space).
+/// next_span() is the free tail of the pooled read buffer (or of a
+/// large body's direct allocation), so one recv() can deliver many
+/// frames; advance() parses them all and queues them for take_frame().
+/// next_span() is empty only after a protocol error has poisoned the
+/// assembler.
 class FrameAssembler {
  public:
   FrameAssembler() : FrameAssembler(FrameAssemblerOptions{}) {}
   explicit FrameAssembler(FrameAssemblerOptions opts);
-  /// Legacy convenience: buffered defaults with a custom body ceiling.
-  explicit FrameAssembler(std::size_t max_body);
 
   /// Destination for the next socket read.
   MutableByteSpan next_span();
@@ -127,36 +122,31 @@ class FrameAssembler {
   Status advance(std::size_t n);
 
   /// True while at least one completed frame is queued.
-  bool frame_ready() const { return !ready_frames_.empty() || ready_; }
+  bool frame_ready() const { return !ready_frames_.empty(); }
 
   /// Pops the oldest completed frame. Precondition: frame_ready().
   Frame take_frame();
 
   /// True when a frame is partially assembled (a peer dying now dies
   /// mid-frame). Completed-but-untaken frames do not count.
-  bool mid_frame() const;
-
-  /// True when running the buffered multi-frame protocol.
-  bool buffered() const { return chunk_ > 0; }
+  bool mid_frame() const { return in_direct_ || filled_ > parsed_; }
 
  private:
-  // Buffered mode: ensures the read buffer exists and has free tail
-  // space, recycling in place when fully parsed and unshared, or
-  // rotating to a fresh pooled buffer (carrying the unparsed remnant)
-  // when full or parked by outstanding body slices.
+  // Ensures the read buffer exists and has free tail space, recycling
+  // in place when fully parsed and unshared, or rotating to a fresh
+  // pooled buffer (carrying the unparsed remnant) when full or parked
+  // by outstanding body slices.
   void ensure_buffer();
-  // Buffered mode: slices every complete frame out of [parsed_,
-  // filled_), switching to direct assembly for large mid-flight
-  // bodies. Poisons on malformed headers.
+  // Slices every complete frame out of [parsed_, filled_), switching
+  // to direct assembly for large mid-flight bodies. Poisons on
+  // malformed headers.
   Status parse();
-  Status advance_legacy(std::size_t n);
 
-  FrameAssemblerOptions opts_;
-  std::size_t chunk_ = 0;    // normalized read buffer size; 0 = legacy
-  std::size_t cutover_ = 0;  // normalized inline cutover
+  std::size_t max_body_;
+  std::size_t chunk_;    // read buffer size, raised to the floor
+  std::size_t cutover_;  // inline cutover, capped at max_body_
   bool poisoned_ = false;
 
-  // --- Buffered mode state ---
   // The current read buffer, held as a full-store view so body slices
   // can share its Rep. base_ is captured at adoption (before any
   // slices exist) because writing the free tail must not trigger the
@@ -171,14 +161,6 @@ class FrameAssembler {
   FrameHeader direct_header_;
   slab::Block direct_block_;
   std::size_t direct_have_ = 0;
-
-  // --- Legacy (unbuffered) mode state ---
-  std::uint8_t header_bytes_[kFrameHeaderBytes] = {};
-  FrameHeader header_;
-  Bytes body_;
-  std::size_t have_ = 0;  // bytes of the current stage (header or body)
-  bool in_body_ = false;
-  bool ready_ = false;
 };
 
 }  // namespace corec::rpc

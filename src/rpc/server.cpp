@@ -232,11 +232,9 @@ void Server::adopt_connection(std::size_t loop_index, int fd) {
   WriteQueueOptions wq;
   wq.segment_bytes = options_.max_segment_bytes;
   wq.flush_budget_bytes = options_.max_segment_bytes * 4;
-  FrameAssemblerOptions fa;
-  fa.max_body = options_.max_frame_bytes;
-  fa.read_chunk_bytes = options_.read_chunk_bytes;
-  fa.inline_body_cutover = options_.inline_body_cutover;
-  auto conn = std::make_shared<Connection>(fd, loop_index, fa, wq);
+  auto conn = std::make_shared<Connection>(
+      fd, loop_index,
+      FrameAssemblerOptions{.max_body = options_.max_frame_bytes}, wq);
   // EPOLLRDHUP is part of the permanent interest set: a client that
   // dies while its reads are paused is reaped on the event instead of
   // lingering until the next failed write.

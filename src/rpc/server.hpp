@@ -7,12 +7,12 @@
 // on the fabric's worker pool, with completions posted back to the
 // *owning* loop through its eventfd.
 //
-// Read path: each connection recv()s into a pooled read buffer
-// (read_chunk_bytes), so a pipelined burst of small frames costs one
+// Read path: each connection recv()s into a pooled read buffer (see
+// frame.hpp), so a pipelined burst of small frames costs one
 // data-bearing syscall for many frames (recv_syscalls_per_frame < 1).
 // Small request bodies arrive as zero-copy slices of that buffer;
-// bodies above inline_body_cutover assemble directly into their own
-// pooled allocation. Stored put payloads are compacted off the read
+// large mid-flight bodies assemble directly into their own pooled
+// allocation. Stored put payloads are compacted off the read
 // buffer when the slice would park a mostly-idle store.
 //
 // Data-path zero-copy both ways:
@@ -68,14 +68,6 @@ struct ServerOptions {
   /// acceptor assigns each new connection to the least-loaded loop.
   std::size_t num_loops = 0;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Pooled per-connection read-buffer size; one recv() can deliver
-  /// many frames. 0 selects the legacy unbuffered assembler (one exact
-  /// span per header/body) — parity tests compare against it.
-  std::size_t read_chunk_bytes = kDefaultReadChunkBytes;
-  /// Largest request body assembled in place inside the read buffer
-  /// (zero-copy slice); larger mid-flight bodies get a direct pooled
-  /// allocation.
-  std::size_t inline_body_cutover = kDefaultInlineBodyCutover;
   /// Write-queue bound per connection before reads pause.
   std::size_t max_write_queue_bytes = 32u << 20;
   /// Payload slice cap per write segment (chunked large-object

@@ -1,6 +1,5 @@
-// Sharded, lock-striped concurrent staging data plane. Replaces the
-// monolithic single-shared_mutex ConcurrentStore/ConcurrentDirectory
-// for real-thread deployments:
+// Sharded, lock-striped concurrent staging data plane — the one store
+// and directory family for real-thread deployments:
 //
 //   * ShardedObjectStore — N-way hash-sharded ObjectStores, one
 //     instrumented shared_mutex per shard. Operations on different

@@ -216,15 +216,17 @@ std::size_t ThreadFabric::retire_pass(const membership::PoolMap& map) {
   return erased;
 }
 
-ServerId ThreadFabric::join_server() {
+StatusOr<ServerId> ThreadFabric::join_server() {
   membership::PoolMap next;
   ServerId id;
   {
     std::unique_lock<std::shared_mutex> lk(membership_mu_);
+    if (!pool_dispatch_)
+      return Status::FailedPrecondition(
+          "join_server requires pool_dispatch routing");
     id = static_cast<ServerId>(stores_.size());
     stores_.push_back(std::make_unique<ShardedObjectStore>(
         options_.server_capacity, options_.store_shards));
-    if (!pool_dispatch_) return id;  // modulo routing: nothing to migrate
     next = map_;
     next.add_target(/*cabinet=*/0, /*node=*/static_cast<std::uint16_t>(id));
   }

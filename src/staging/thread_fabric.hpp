@@ -36,9 +36,9 @@ struct FabricOptions {
   std::size_t server_capacity = 0;   // bytes per server (0 = unlimited)
   std::size_t workers = 0;           // async dispatch threads (0 = auto)
   /// Route through the versioned pool map (HRW placement) instead of
-  /// the static modulo hash. Required for join_server()/drain_server()
-  /// migration semantics; off by default so existing deployments keep
-  /// their byte-identical placement.
+  /// the static modulo hash. Required for join_server()/drain_server(),
+  /// which refuse under modulo routing; off by default so existing
+  /// deployments keep their byte-identical placement.
   bool pool_dispatch = false;
 };
 
@@ -116,10 +116,11 @@ class ThreadFabric {
   /// bodies and MAP_GET responses).
   Bytes map_blob() const;
 
-  /// Grows the fabric by one server and — in pool_dispatch mode —
-  /// rebalances the minimal set of entries onto it (JOINING -> migrate
-  /// -> UP, two map versions). Returns the new server id.
-  ServerId join_server();
+  /// Grows the fabric by one server and rebalances the minimal set of
+  /// entries onto it (JOINING -> migrate -> UP, two map versions).
+  /// Returns the new server id. Fails with FailedPrecondition under
+  /// modulo routing, where a new server would re-home every entry.
+  StatusOr<ServerId> join_server();
 
   /// Migrates every entry off `target` and retires it (DRAIN ->
   /// migrate -> DOWN, two map versions). The store object stays in

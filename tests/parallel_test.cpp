@@ -1,7 +1,7 @@
 // Real-thread components: the parallel erasure coder (bit-identical to
-// the serial codec), the legacy single-lock facades, the sharded
-// lock-striped store/directory under multi-threaded hammering, and the
-// ThreadFabric dispatcher replayed against the single-threaded path.
+// the serial codec), the sharded lock-striped store/directory under
+// multi-threaded hammering, and the ThreadFabric dispatcher replayed
+// against the single-threaded path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "common/sharding.hpp"
 #include "common/thread_pool.hpp"
 #include "erasure/parallel.hpp"
-#include "staging/concurrent_store.hpp"
 #include "staging/sharded_store.hpp"
 #include "staging/thread_fabric.hpp"
 
@@ -111,102 +110,6 @@ TEST(ParallelCoder, PropagatesFailures) {
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
 }
 
-TEST(ConcurrentStore, ParallelPutGetEraseIsConsistent) {
-  staging::ConcurrentStore store;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  std::atomic<int> mismatches{0};
-
-  auto desc_for = [](int t, int i) {
-    return staging::ObjectDescriptor{
-        static_cast<VarId>(t), static_cast<Version>(i),
-        geom::BoundingBox::line(i, i + 3), staging::kWholeObject};
-  };
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        auto desc = desc_for(t, i);
-        Bytes payload(16, static_cast<std::uint8_t>(t * 16 + i));
-        ASSERT_TRUE(store
-                        .put(staging::DataObject::real(desc, payload),
-                             staging::StoredKind::kPrimary)
-                        .ok());
-        auto got = store.get(desc);
-        if (!got.ok() || got.value().object.data != payload) {
-          mismatches.fetch_add(1);
-        }
-        if (i % 3 == 0) store.erase(desc);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  // Remaining objects: per thread, those with i % 3 != 0.
-  std::size_t expected = 0;
-  for (int i = 0; i < kPerThread; ++i) expected += (i % 3 != 0) ? 1 : 0;
-  EXPECT_EQ(store.count(), expected * kThreads);
-}
-
-// Regression for the legacy facade's copy-out fix: concurrent readers
-// must hand back refcounted payload views, never byte copies.
-TEST(ConcurrentStore, ConcurrentReadsAreZeroCopy) {
-  staging::ConcurrentStore store;
-  auto desc = staging::ObjectDescriptor{
-      7, 1, geom::BoundingBox::line(0, 63), staging::kWholeObject};
-  Bytes payload(4096, 0xAB);
-  ASSERT_TRUE(store
-                  .put(staging::DataObject::real(desc, payload),
-                       staging::StoredKind::kPrimary)
-                  .ok());
-  payload_metrics().reset();
-  std::vector<std::thread> readers;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        auto got = store.get(desc);
-        if (!got.ok() || got.value().object.data != payload) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(payload_metrics().bytes_copied.load(), 0u);
-  EXPECT_EQ(payload_metrics().allocations.load(), 0u);
-}
-
-TEST(ConcurrentDirectory, ParallelUpsertQuery) {
-  staging::ConcurrentDirectory dir;
-  constexpr int kThreads = 6;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 100; ++i) {
-        staging::ObjectDescriptor desc{
-            1, static_cast<Version>(t),
-            geom::BoundingBox::rect(t * 100 + i, 0, t * 100 + i, 0),
-            staging::kWholeObject};
-        staging::ObjectLocation loc;
-        loc.primary = static_cast<ServerId>(t);
-        loc.logical_size = 1;
-        dir.upsert(desc, loc);
-        // Interleaved reads while others write.
-        (void)dir.query_latest(
-            1, 10, geom::BoundingBox::rect(0, 0, 1000, 0));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(dir.size(), 600u);
-  auto all =
-      dir.query_latest(1, 10, geom::BoundingBox::rect(0, 0, 1000, 0));
-  EXPECT_EQ(all.size(), 600u);
-}
-
 // ---- sharded lock-striped data plane ---------------------------------------
 
 staging::ObjectDescriptor stress_desc(int key) {
@@ -226,17 +129,40 @@ Bytes stress_payload(int key, std::size_t size) {
 
 // Readers, writers and erasers race across shards; after quiesce the
 // lock-free rollup counters must agree exactly with a full recount.
+// Each thread also owns a private key range where it reads its own
+// writes back byte for byte and erases every third key, so the final
+// count of private keys is known exactly.
 TEST(ShardedObjectStore, StressRollupsExactAfterQuiesce) {
   staging::ShardedObjectStore store(0, 16);
   constexpr int kThreads = 8;
   constexpr int kOps = 2000;
   constexpr int kKeys = 256;
+  constexpr int kOwnEvery = 10;  // one private put/get per 10 ops
+  constexpr int kOwnKeys = kOps / kOwnEvery;
   std::atomic<int> mismatches{0};
+  std::atomic<int> own_mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(1000 + t);
       for (int i = 0; i < kOps; ++i) {
+        if (i % kOwnEvery == 0) {  // read-your-write on a private key
+          const int j = i / kOwnEvery;
+          const int key = kKeys + t * kOwnKeys + j;
+          const Bytes payload = stress_payload(key, 48);
+          if (!store
+                   .put(staging::DataObject::real(
+                            stress_desc(key), PayloadBuffer::wrap(payload)),
+                        staging::StoredKind::kPrimary)
+                   .ok()) {
+            own_mismatches.fetch_add(1);
+          }
+          auto got = store.get(stress_desc(key));
+          if (!got.ok() || got.value().object.data != payload) {
+            own_mismatches.fetch_add(1);
+          }
+          if (j % 3 == 0) store.erase(stress_desc(key));
+        }
         const int key = static_cast<int>(rng.next_u32() % kKeys);
         const auto desc = stress_desc(key);
         const std::uint32_t dice = rng.next_u32() % 100;
@@ -268,12 +194,15 @@ TEST(ShardedObjectStore, StressRollupsExactAfterQuiesce) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(own_mismatches.load(), 0);
 
   // Quiesced: striped counters must match a locked recount exactly.
-  std::size_t entries = 0, bytes = 0;
+  std::size_t entries = 0, bytes = 0, own_entries = 0;
   std::size_t by_kind[4] = {0, 0, 0, 0};
   store.for_each([&](const staging::StoredObject& stored) {
     ++entries;
+    // Private keys sit past kKeys: their boxes start at kKeys * 8.
+    if (stored.object.desc.box.lo()[0] >= kKeys * 8) ++own_entries;
     bytes += stored.object.logical_size;
     by_kind[static_cast<std::size_t>(stored.kind)] +=
         stored.object.logical_size;
@@ -284,6 +213,10 @@ TEST(ShardedObjectStore, StressRollupsExactAfterQuiesce) {
     EXPECT_EQ(store.bytes_of(static_cast<staging::StoredKind>(k)),
               by_kind[k]);
   }
+  // Every private key but the erased third (j % 3 == 0) remains.
+  constexpr int kOwnErased = (kOwnKeys + 2) / 3;
+  EXPECT_EQ(own_entries,
+            static_cast<std::size_t>(kThreads * (kOwnKeys - kOwnErased)));
 
   const auto metrics = store.shard_metrics();
   EXPECT_EQ(metrics.shards, 16u);
@@ -324,6 +257,7 @@ TEST(ShardedObjectStore, ConcurrentReadsAreZeroCopy) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(payload_metrics().bytes_copied.load(), 0u);
   EXPECT_EQ(payload_metrics().cow_detaches.load(), 0u);
+  EXPECT_EQ(payload_metrics().allocations.load(), 0u);
 }
 
 // COW keeps escaped read views immune to later in-place corruption.
@@ -616,6 +550,36 @@ TEST(ThreadFabric, AsyncOpsCompleteOnDrain) {
   const auto global = shard_metrics();
   EXPECT_GT(global.shards, 0u);
   EXPECT_GT(global.lock_acquisitions, 0u);
+}
+
+// Under modulo routing a new server would re-home most entries, and
+// ThreadFabric only migrates under pool-map routing: join_server must
+// refuse rather than strand what is stored. Either way, every routed
+// get must still find its object afterwards.
+TEST(ThreadFabric, JoinUnderModuloRoutingStrandsNothing) {
+  staging::ThreadFabric fabric(4, {.workers = 1});
+  constexpr int kObjects = 64;
+  for (int i = 0; i < kObjects; ++i) {
+    ASSERT_TRUE(fabric
+                    .put(staging::DataObject::real(
+                             stress_desc(i),
+                             PayloadBuffer::wrap(stress_payload(i, 64))),
+                         staging::StoredKind::kPrimary)
+                    .ok());
+  }
+  auto joined = fabric.join_server();
+  if (!joined.ok()) {
+    EXPECT_EQ(joined.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(fabric.num_servers(), 4u);
+  }
+  int misses = 0;
+  for (int i = 0; i < kObjects; ++i) {
+    auto got = fabric.get(stress_desc(i));
+    if (!got.ok() || got.value().object.data != stress_payload(i, 64)) {
+      ++misses;
+    }
+  }
+  EXPECT_EQ(misses, 0);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndicesConcurrently) {

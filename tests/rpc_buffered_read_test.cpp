@@ -2,9 +2,10 @@
 // recycling behavior, multi-frame slicing out of one chunk, frame
 // splits at every byte offset across buffer refills, tiny-frame
 // floods, refcount parking of the read buffer, the direct large-body
-// path, and loopback byte-parity between the buffered and legacy
-// unbuffered protocols. Runs under the asan leg with
-// COREC_SLAB_POISON=1 so stale views over recycled slabs fault.
+// path, golden wire bytes for the put/get/error/redirect frames, and a
+// loopback round trip across the inline cutover up to multi-MiB
+// bodies. Runs under the asan leg with COREC_SLAB_POISON=1 so stale
+// views over recycled slabs fault.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,10 +14,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.hpp"
 #include "common/slab.hpp"
+#include "membership/pool_map.hpp"
 #include "rpc/client.hpp"
 #include "rpc/frame.hpp"
 #include "rpc/protocol.hpp"
@@ -383,7 +386,172 @@ TEST(BufferedSocket, BurstOfFramesArrivesInFewReads) {
   EXPECT_LT(data_reads, kFrames / 2);
 }
 
-// ---- loopback parity: buffered vs legacy unbuffered ----------------------
+// ---- golden frames ---------------------------------------------------------
+//
+// Checked-in wire bytes of four frames: a put request, a get response,
+// an error response and a kNotMyShard redirect header. Any change to
+// the frame header or the put/get body layouts breaks these.
+
+const Bytes kPutRequest = {
+    0x43, 0x52, 0x45, 0x43, 0x02, 0x01, 0x00, 0x00, 0x88, 0x77, 0x66, 0x55,
+    0x44, 0x33, 0x22, 0x11, 0x38, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0xa2, 0x43, 0xdc,
+    0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0xa1, 0xa2, 0xa3,
+    0xa4, 0xa5, 0xa6, 0xa7, 0xa8, 0xa9, 0xaa, 0xab, 0xac, 0xad, 0xae, 0xaf,
+};
+const Bytes kGetResponse = {
+    0x43, 0x52, 0x45, 0x43, 0x02, 0x02, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x1d, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0xf8, 0xa2, 0x43, 0xdc, 0x10, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6,
+    0xa7, 0xa8, 0xa9, 0xaa, 0xab, 0xac, 0xad, 0xae, 0xaf,
+};
+const Bytes kErrorResponse = {
+    0x43, 0x52, 0x45, 0x43, 0x02, 0x02, 0x01, 0x00, 0x2b, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+};
+const Bytes kRedirectHeader = {
+    0x43, 0x52, 0x45, 0x43, 0x02, 0x01, 0x08, 0x00, 0x2c, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x2f, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+};
+
+const staging::ObjectDescriptor kGoldenDesc{
+    7, 3, geom::BoundingBox::line(16, 31), staging::kWholeObject};
+
+Bytes golden_payload() {
+  Bytes b(16);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<std::uint8_t>(0xA0 + i);
+  }
+  return b;
+}
+
+// The redirect's body: a two-target pool map (version 2).
+Bytes golden_map_blob() {
+  membership::PoolMap map;
+  map.add_target(0, 0);
+  map.add_target(0, 1);
+  Bytes blob;
+  map.encode(&blob);
+  return blob;
+}
+
+// Header + body prefix + payload, as a sender's OutFrame puts them on
+// the wire.
+Bytes frame_bytes(const FrameHeader& h, const Bytes& prefix,
+                  const Bytes& payload) {
+  Bytes out;
+  encode_frame_header(h, &out);
+  out.insert(out.end(), prefix.begin(), prefix.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+TEST(GoldenFrames, EncodersReproduceCheckedInBytes) {
+  const Bytes payload = golden_payload();
+
+  PutRequest put;
+  put.desc = kGoldenDesc;
+  put.kind = staging::StoredKind::kPrimary;
+  put.checksum = PayloadBuffer::copy_of(payload).crc32c();
+  put.logical_size = payload.size();
+  const Bytes put_prefix = encode_put_prefix(put);
+  FrameHeader put_h;
+  put_h.opcode = static_cast<std::uint8_t>(OpCode::kPut);
+  put_h.request_id = 0x1122334455667788ull;
+  put_h.body_len =
+      static_cast<std::uint32_t>(put_prefix.size() + payload.size());
+  EXPECT_EQ(frame_bytes(put_h, put_prefix, payload), kPutRequest);
+
+  const staging::StoredObject stored{
+      staging::DataObject::real(kGoldenDesc, payload),
+      staging::StoredKind::kReplica};
+  const Bytes get_prefix = encode_get_response_prefix(stored);
+  FrameHeader get_h;
+  get_h.opcode = static_cast<std::uint8_t>(OpCode::kGet);
+  get_h.request_id = 42;
+  get_h.body_len =
+      static_cast<std::uint32_t>(get_prefix.size() + payload.size());
+  get_h.map_version = 5;
+  EXPECT_EQ(frame_bytes(get_h, get_prefix, payload), kGetResponse);
+
+  FrameHeader err_h;
+  err_h.opcode = static_cast<std::uint8_t>(OpCode::kGet);
+  err_h.code = status_to_wire(Status::NotFound("no such object"));
+  err_h.request_id = 43;
+  err_h.map_version = 5;
+  EXPECT_EQ(frame_bytes(err_h, {}, {}), kErrorResponse);
+
+  FrameHeader redirect_h;
+  redirect_h.opcode = static_cast<std::uint8_t>(OpCode::kPut);
+  redirect_h.code = status_to_wire(Status::NotMyShard("stale pool map"));
+  redirect_h.request_id = 44;
+  redirect_h.body_len = static_cast<std::uint32_t>(golden_map_blob().size());
+  redirect_h.map_version = 2;
+  EXPECT_EQ(frame_bytes(redirect_h, {}, {}), kRedirectHeader);
+}
+
+TEST(GoldenFrames, AssemblerDecodesFixturesAtEverySplitOffset) {
+  const Bytes map_blob = golden_map_blob();
+  const std::vector<Bytes> wire = {kPutRequest, kGetResponse,
+                                   kErrorResponse, kRedirectHeader};
+  std::vector<Bytes> bodies;
+  Bytes stream;
+  for (const Bytes& f : wire) {
+    stream.insert(stream.end(), f.begin(), f.end());
+    bodies.emplace_back(f.begin() + kFrameHeaderBytes, f.end());
+  }
+  stream.insert(stream.end(), map_blob.begin(), map_blob.end());
+  bodies.back() = map_blob;
+
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    FrameAssembler assembler;
+    std::vector<Frame> frames;
+    for (const auto& [from, to] : {std::pair{std::size_t{0}, split},
+                                   std::pair{split, stream.size()}}) {
+      if (from == to) continue;
+      MutableByteSpan span = assembler.next_span();
+      ASSERT_GE(span.size(), to - from);
+      std::memcpy(span.data(), stream.data() + from, to - from);
+      ASSERT_TRUE(assembler.advance(to - from).ok()) << "split " << split;
+      while (assembler.frame_ready()) frames.push_back(assembler.take_frame());
+    }
+    ASSERT_EQ(frames.size(), wire.size()) << "split " << split;
+    EXPECT_FALSE(assembler.mid_frame());
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      Bytes header_bytes;
+      encode_frame_header(frames[i].header, &header_bytes);
+      EXPECT_EQ(header_bytes, Bytes(wire[i].begin(),
+                                    wire[i].begin() + kFrameHeaderBytes))
+          << "split " << split << " frame " << i;
+      EXPECT_TRUE(frames[i].body == bodies[i])
+          << "split " << split << " frame " << i;
+    }
+
+    auto put = decode_put_request(frames[0].body);
+    ASSERT_TRUE(put.ok());
+    EXPECT_EQ(put->desc, kGoldenDesc);
+    EXPECT_TRUE(put->payload == golden_payload());
+    auto got = decode_get_response(frames[1].body);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->kind, staging::StoredKind::kReplica);
+    EXPECT_TRUE(got->payload == golden_payload());
+    EXPECT_EQ(status_from_wire(frames[2].header.code, "golden").code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(status_from_wire(frames[3].header.code, "golden").code(),
+              StatusCode::kNotMyShard);
+    auto map = membership::PoolMap::decode(frames[3].body.data(),
+                                           frames[3].body.size());
+    ASSERT_TRUE(map.ok());
+    EXPECT_EQ(map->version(), frames[3].header.map_version);
+  }
+}
+
+// ---- loopback ---------------------------------------------------------------
 
 struct ServerFixture {
   explicit ServerFixture(ServerOptions options) : server([&] {
@@ -414,39 +582,25 @@ staging::ObjectDescriptor desc_of(VarId var, int i) {
           staging::kWholeObject};
 }
 
-// Every combination of {buffered, legacy} client x server must move
-// identical bytes, across small, cutover-straddling, and multi-MiB
-// payloads.
-TEST(BufferedLoopback, ByteParityAcrossBufferedAndLegacyPeers) {
+// Put then get across small, cutover-straddling (the 64 KiB inline
+// cutover) and multi-MiB payloads, which take the in-buffer slice, the
+// direct-allocation and the buffer-rotation paths on both ends.
+TEST(BufferedLoopback, RoundTripAcrossBodySizes) {
   const std::vector<std::size_t> sizes = {1, 64, 4096, 70000, 3u << 20};
-  for (const std::size_t server_chunk : {std::size_t{0},
-                                         kDefaultReadChunkBytes}) {
-    ServerOptions sopts;
-    sopts.read_chunk_bytes = server_chunk;
-    ServerFixture fx(sopts);
-    for (const std::size_t client_chunk : {std::size_t{0},
-                                           kDefaultReadChunkBytes}) {
-      ClientOptions copts = fx.client_options();
-      copts.read_chunk_bytes = client_chunk;
-      Client client(copts);
-      const VarId var =
-          static_cast<VarId>(500 + (server_chunk ? 2 : 0) +
-                             (client_chunk ? 1 : 0));
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const Bytes payload =
-            pattern_bytes(sizes[i], static_cast<std::uint8_t>(37 + i));
-        Status st = client.put(desc_of(var, static_cast<int>(i)),
-                               PayloadBuffer::copy_of(payload));
-        ASSERT_TRUE(st.ok()) << st.to_string();
-        auto got = client.get(desc_of(var, static_cast<int>(i)));
-        ASSERT_TRUE(got.ok()) << got.status().to_string();
-        ASSERT_TRUE(got->payload == payload)
-            << "server_chunk=" << server_chunk
-            << " client_chunk=" << client_chunk << " size=" << sizes[i];
-        EXPECT_EQ(got->payload.crc32c(),
-                  PayloadBuffer::copy_of(payload).crc32c());
-      }
-    }
+  ServerFixture fx(ServerOptions{});
+  Client client(fx.client_options());
+  const VarId var = 500;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Bytes payload =
+        pattern_bytes(sizes[i], static_cast<std::uint8_t>(37 + i));
+    Status st = client.put(desc_of(var, static_cast<int>(i)),
+                           PayloadBuffer::copy_of(payload));
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    auto got = client.get(desc_of(var, static_cast<int>(i)));
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    ASSERT_TRUE(got->payload == payload) << "size=" << sizes[i];
+    EXPECT_EQ(got->payload.crc32c(),
+              PayloadBuffer::copy_of(payload).crc32c());
   }
 }
 

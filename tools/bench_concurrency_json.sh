@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Runs the concurrent data-plane microbenchmarks (single-lock
-# ConcurrentStore vs lock-striped ShardedObjectStore across 1→8 threads
-# and three read/write mixes) in google-benchmark's JSON format and
-# writes one machine-readable file (default BENCH_concurrency.json).
+# Runs the concurrent data-plane microbenchmarks (the lock-striped
+# ShardedObjectStore across 1→8 threads and three read/write mixes) in
+# google-benchmark's JSON format and writes one machine-readable file
+# (default BENCH_concurrency.json). The committed file predates the
+# removal of the single-lock store and still carries its
+# BM_SingleLock_Mix rows as the last record of that comparison.
 # The per-benchmark counters carry the shard contention telemetry
 # (lock acquisitions, contended %, max shard occupancy) and the
 # zero-copy proof counters (copied_bytes/crc_recomputes must stay 0 on

@@ -42,11 +42,6 @@ void usage() {
       "  --segment BYTES     payload slice cap per write segment\n"
       "                      (default 1 MiB)\n"
       "  --max-frame BYTES   frame body ceiling (default 64 MiB)\n"
-      "  --read-chunk BYTES  pooled per-connection read buffer; one\n"
-      "                      recv can deliver many frames (default\n"
-      "                      256 KiB; 0 = legacy unbuffered reads)\n"
-      "  --read-cutover B    largest body assembled inside the read\n"
-      "                      buffer (default 64 KiB)\n"
       "  --failpoints SPEC   arm fault-injection points\n");
 }
 
@@ -95,12 +90,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atoll(next()));
     } else if (a == "--max-frame") {
       options.max_frame_bytes = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--read-chunk") {
-      options.read_chunk_bytes =
-          static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--read-cutover") {
-      options.inline_body_cutover =
-          static_cast<std::size_t>(std::atoll(next()));
     } else if (a == "--failpoints") {
       failpoints = next();
     } else {
